@@ -21,6 +21,7 @@ from repro.bench.experiments import (
     E18_FLAT_FACTOR,
     E18_RAW_REDUCTION_FLOOR,
     E18_SUPERLINEAR_MARGIN,
+    E18_TOUCH_FACTOR,
 )
 
 BENCH_JSON = Path(__file__).parent.parent / "BENCH_e18.json"
@@ -41,6 +42,8 @@ def test_lifecycle_soak(benchmark, archive):
     assert numbers["flat_ratio"] <= E18_FLAT_FACTOR
     assert numbers["raw_growth"] > E18_SUPERLINEAR_MARGIN * numbers["time_growth"]
     assert numbers["raw_reduction"] >= E18_RAW_REDUCTION_FLOOR
+    # raw-served scans read only their range
+    assert numbers["touch_ratio"] <= E18_TOUCH_FACTOR
     # tier-routed answers are bit-identical wherever raw still lives
     assert numbers["bitident_identical_plans"] == numbers["bitident_probes"]
     assert numbers["bitident_mismatches"] == 0

@@ -1824,6 +1824,9 @@ def e17_streaming_alerting(
 E18_FLAT_FACTOR = 2.0
 E18_SUPERLINEAR_MARGIN = 1.2
 E18_RAW_REDUCTION_FLOOR = 5.0
+#: Cells a raw-served scan may read from memstore and store files per
+#: cell it returns (range-bounded reads touch little beyond their range).
+E18_TOUCH_FACTOR = 1.5
 
 
 def _e18_cells(engine, query: TsdbQuery) -> int:
@@ -1831,6 +1834,11 @@ def _e18_cells(engine, query: TsdbQuery) -> int:
     before = engine.scan_cells
     engine.run(query)
     return engine.scan_cells - before
+
+
+def _e18_touched(cluster) -> int:
+    """Cells read so far by region scans across the cluster."""
+    return sum(r.cells_touched for rs in cluster.servers for r in rs.hosted_regions())
 
 
 def _e18_long(horizon: int) -> TsdbQuery:
@@ -1922,14 +1930,16 @@ def e18_lifecycle_soak(
         long_q, short_q = _e18_long(horizon), _e18_short(horizon)
         long_walls: List[float] = []
         short_walls: List[float] = []
-        routed_cells = short_cells = 0
+        routed_cells = short_cells = short_touched = 0
         for _ in range(query_reps):
             t0 = time.perf_counter()
             routed_cells = _e18_cells(routed, long_q)
             long_walls.append(time.perf_counter() - t0)
+            touched = _e18_touched(cluster)
             t0 = time.perf_counter()
             short_cells = _e18_cells(routed, short_q)
             short_walls.append(time.perf_counter() - t0)
+            short_touched = _e18_touched(cluster) - touched
         raw_cells = _e18_cells(raw_engine, long_q)
         checkpoint_rows.append(
             {
@@ -1940,6 +1950,7 @@ def e18_lifecycle_soak(
                 "raw_cells": float(raw_cells),
                 "routed_cells": float(routed_cells),
                 "short_cells": float(short_cells),
+                "short_touched": float(short_touched),
                 "long_p99_ms": float(np.percentile(long_walls, 99) * 1e3),
                 "short_p99_ms": float(np.percentile(short_walls, 99) * 1e3),
             }
@@ -2028,6 +2039,7 @@ def e18_lifecycle_soak(
     time_growth = t2["end"] / t1["end"]
     flat_ratio = final["routed_cells"] / final["short_cells"]
     raw_reduction = final["raw_cells"] / final["routed_cells"]
+    touch_ratio = final["short_touched"] / final["short_cells"]
 
     growth_table = Table(
         f"Soak growth ({start_units} -> {end_units} units x 2 sensors, "
@@ -2066,6 +2078,11 @@ def e18_lifecycle_soak(
         "tier scan reduction at T3",
         f"{raw_reduction:.1f}x",
         f">= {E18_RAW_REDUCTION_FLOOR:.1f}x",
+    )
+    gate_table.add_row(
+        "last-hour cells touched per returned at T3",
+        f"{touch_ratio:.3f}x",
+        f"<= {E18_TOUCH_FACTOR:.1f}x",
     )
     gate_table.add_row(
         "bit-identity vs raw (unexpired)",
@@ -2121,6 +2138,9 @@ def e18_lifecycle_soak(
         "flat_factor": E18_FLAT_FACTOR,
         "raw_reduction": raw_reduction,
         "reduction_floor": E18_RAW_REDUCTION_FLOOR,
+        "short_touched_final": final["short_touched"],
+        "touch_ratio": touch_ratio,
+        "touch_factor": E18_TOUCH_FACTOR,
         "bitident_probes": float(probes),
         "bitident_identical_plans": float(identical_probes),
         "bitident_mismatches": float(mismatches),

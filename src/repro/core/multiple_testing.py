@@ -110,6 +110,17 @@ def benjamini_yekutieli(pvalues: np.ndarray, q: float = 0.05) -> np.ndarray:
     return _step_up(pvalues, q, dependence_correction=True)
 
 
+def _ladder(q: float, m: int) -> np.ndarray:
+    """The step-up rungs ``q·k/m`` for ``k = 1..m``, evaluated as ``q / (m/k)``.
+
+    This order makes rung 1 exactly ``q/m`` and rung m exactly ``q`` —
+    the same floats Bonferroni and Holm compare against — so the
+    nesting bonferroni ⊆ holm ⊆ BH also holds at the ladder's ends.
+    (``q*k/m`` can round rung m below ``q``.)
+    """
+    return q / (m / np.arange(1, m + 1))
+
+
 def _step_up(pvalues: np.ndarray, q: float, dependence_correction: bool) -> np.ndarray:
     p = _check(pvalues, q)
     m = p.shape[-1]
@@ -120,7 +131,7 @@ def _step_up(pvalues: np.ndarray, q: float, dependence_correction: bool) -> np.n
         effective_q = q / np.sum(1.0 / np.arange(1, m + 1))
     order = np.argsort(p, axis=-1)
     sorted_p = np.take_along_axis(p, order, axis=-1)
-    thresholds = effective_q * np.arange(1, m + 1) / m
+    thresholds = _ladder(effective_q, m)
     passing = sorted_p <= thresholds
     # Largest passing index per family (step-up): k = last True + 1.
     reversed_pass = passing[..., ::-1]
@@ -159,7 +170,7 @@ def step_up_sparse(
         effective_q = q / np.sum(1.0 / np.arange(1, m + 1))
     flat = p.reshape(-1, m)
     n_fam = flat.shape[0]
-    thresholds = effective_q * np.arange(1, m + 1) / m
+    thresholds = _ladder(effective_q, m)
     flags = np.zeros(flat.shape, dtype=bool)
     rows, cols = np.nonzero(flat <= thresholds[-1])
     if rows.size:
@@ -227,7 +238,7 @@ def bh_threshold(pvalues: np.ndarray, q: float = 0.05) -> float:
     if m == 0:
         return 0.0
     sorted_p = np.sort(p)
-    thresholds = q * np.arange(1, m + 1) / m
+    thresholds = _ladder(q, m)
     passing = np.flatnonzero(sorted_p <= thresholds)
     if passing.size == 0:
         return 0.0

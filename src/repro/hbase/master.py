@@ -186,17 +186,23 @@ class HMaster:
             raise RuntimeError(f"no region covers row {row.hex()} in {table!r}")
         return assignment.region.info, assignment.server
 
+    def _overlapping(self, table: str, start: bytes, end: bytes) -> List[_Assignment]:
+        """Assignments whose regions overlap ``[start, end)``, in key order.
+
+        Regions tile the keyspace in start-key order, so the overlap is
+        one contiguous run, found by bisecting the start keys: from the
+        region holding ``start`` up to the last region starting before
+        ``end`` (``b""`` = unbounded).
+        """
+        assignments = self._assignments(table)
+        starts = self._starts[table]
+        lo = bisect.bisect_right(starts, start) - 1  # starts[0] == b"" <= start
+        hi = bisect.bisect_left(starts, end, lo) if end else len(starts)
+        return assignments[lo:hi]
+
     def locate_range(self, table: str, start: bytes, end: bytes) -> List[Tuple[RegionInfo, Optional[str]]]:
         """All regions overlapping the scan range ``[start, end)``."""
-        out = []
-        for assignment in self._assignments(table):
-            info = assignment.region.info
-            if end and info.start_key and info.start_key >= end:
-                continue
-            if info.end_key and info.end_key <= start:
-                continue
-            out.append((info, assignment.server))
-        return out
+        return [(a.region.info, a.server) for a in self._overlapping(table, start, end)]
 
     def locate_replicas(self, table: str, row: bytes) -> ReplicaLocation:
         """Replica-aware :meth:`locate`: primary plus follower servers."""
@@ -222,12 +228,13 @@ class HMaster:
 
         Used by offline components — the TSDB query engine, tests, the
         visualization pipeline — where simulated network timing is not
-        under study.  Returns cells sorted by ``(row, qualifier)``.
+        under study.  Returns cells sorted by ``(row, qualifier)``: each
+        overlapping region returns its share sorted, and the regions are
+        disjoint and visited in key order.
         """
-        cells = []
-        for assignment in self._assignments(table):
+        cells: List[Cell] = []
+        for assignment in self._overlapping(table, start_row, end_row):
             cells.extend(assignment.region.scan(start_row, end_row))
-        cells.sort(key=lambda c: c.key)
         return cells
 
     def direct_delete_range(
@@ -244,15 +251,12 @@ class HMaster:
         across primaries.
         """
         masked = 0
-        for assignment in self._assignments(table):
-            info = assignment.region.info
-            if end_row and info.start_key and info.start_key >= end_row:
-                continue
-            if info.end_key and info.end_key <= start_row:
-                continue
+        for assignment in self._overlapping(table, start_row, end_row):
             masked += assignment.region.delete_range(start_row, end_row, ts)
             if self.replication is not None:
-                self.replication.mirror_delete(info.name, start_row, end_row, ts)
+                self.replication.mirror_delete(
+                    assignment.region.info.name, start_row, end_row, ts
+                )
         return masked
 
     def direct_scan_consistent(
@@ -272,15 +276,11 @@ class HMaster:
         cluster both modes return exactly what :meth:`direct_scan`
         returns for the same range, at staleness 0.
         """
-        cells: List = []
+        cells: List[Cell] = []
         staleness = 0.0
-        for assignment in self._assignments(table):
-            info = assignment.region.info
-            if end_row and info.start_key and info.start_key >= end_row:
-                continue
-            if info.end_key and info.end_key <= start_row:
-                continue
+        for assignment in self._overlapping(table, start_row, end_row):
             region = assignment.region
+            info = region.info
             primary_down = (
                 assignment.server is None or self._servers[assignment.server].crashed
             )
@@ -293,7 +293,6 @@ class HMaster:
                 region, follower_staleness = fallback
                 staleness = max(staleness, follower_staleness)
             cells.extend(region.scan(start_row, end_row))
-        cells.sort(key=lambda c: c.key)
         return cells, staleness
 
     # ------------------------------------------------------------------

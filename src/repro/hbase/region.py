@@ -7,6 +7,10 @@ threshold it is frozen into an immutable, sorted :class:`StoreFile`.
 Reads merge the memstore with all store files, newest first.  Minor
 compaction merges store files back into one.
 
+Range reads touch only the cells in range: store files are sorted and
+bisected, and the memstore keeps a lazily built sorted index of its own
+key tuples next to the dict (see :meth:`Region.scan`).
+
 The data plane is real — cells written here are the cells the TSDB
 query engine later reads — while the *timing* of RPCs is modelled by
 the RegionServer's service loop, not here.
@@ -26,9 +30,11 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = ["Cell", "StoreFile", "Region", "RegionInfo"]
+
+Key = Tuple[bytes, bytes]
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,14 +79,22 @@ class RegionInfo:
 class StoreFile:
     """Immutable sorted run of cells (an HFile stand-in).
 
-    Cells are stored sorted by ``(row, qualifier)``; point lookups use
-    binary search, scans use slicing.  One entry per key (the flush
-    already deduplicated by newest timestamp).
+    Cells are stored sorted by ``(row, qualifier)`` beside a parallel
+    key list; point lookups and range bounds use binary search.  One
+    entry per key (the flush already deduplicated by newest timestamp).
     """
 
     def __init__(self, cells: List[Cell]) -> None:
         self._cells = sorted(cells, key=lambda c: c.key)
         self._keys = [c.key for c in self._cells]
+
+    @classmethod
+    def from_sorted(cls, keys: List[Key], cells: List[Cell]) -> "StoreFile":
+        """Adopt parallel, key-sorted, duplicate-free lists without copying."""
+        sf = cls.__new__(cls)
+        sf._keys = keys
+        sf._cells = cells
+        return sf
 
     def __len__(self) -> int:
         return len(self._cells)
@@ -93,14 +107,45 @@ class StoreFile:
 
     def scan(self, start_row: bytes, end_row: bytes) -> Iterator[Cell]:
         """Cells with ``start_row <= row < end_row`` (``b''`` end = unbounded)."""
-        lo = bisect.bisect_left(self._keys, (start_row, b""))
-        for cell in self._cells[lo:]:
-            if end_row and cell.row >= end_row:
-                break
-            yield cell
+        lo, hi = _row_bounds(self._keys, start_row, end_row)
+        return iter(self._cells[lo:hi])
 
-    def cells(self) -> Iterator[Cell]:
-        return iter(self._cells)
+
+def _row_bounds(keys: Sequence[Key], start_row: bytes, end_row: bytes) -> Tuple[int, int]:
+    """``[lo, hi)`` positions of the keys whose row is in ``[start_row, end_row)``."""
+    lo = bisect.bisect_left(keys, (start_row, b""))
+    hi = bisect.bisect_left(keys, (end_row, b""), lo) if end_row else len(keys)
+    return lo, hi
+
+
+def _newest_wins(runs: List[Tuple[List[Key], List[Cell]]]) -> Tuple[List[Key], List[Cell]]:
+    """Merge key-sorted ``(keys, cells)`` runs given oldest first.
+
+    For a key present in several runs the highest write timestamp wins,
+    and a later run wins a tie — the rule every read and compaction
+    applies.  One stable sort over the concatenation (Timsort merges
+    the pre-sorted runs) and one linear pass.
+    """
+    if len(runs) == 1:
+        return runs[0]
+    keys: List[Key] = []
+    cells: List[Cell] = []
+    for run_keys, run_cells in runs:
+        keys += run_keys
+        cells += run_cells
+    out_keys: List[Key] = []
+    out_cells: List[Cell] = []
+    prev: Optional[Key] = None
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
+        key, cell = keys[i], cells[i]
+        if key == prev:
+            if cell.ts >= out_cells[-1].ts:
+                out_cells[-1] = cell
+        else:
+            out_keys.append(key)
+            out_cells.append(cell)
+            prev = key
+    return out_keys, out_cells
 
 
 class Region:
@@ -127,13 +172,24 @@ class Region:
         self.info = info
         self.flush_threshold = flush_threshold
         self.retain_data = retain_data
-        self._memstore: Dict[Tuple[bytes, bytes], Cell] = {}
+        self._memstore: Dict[Key, Cell] = {}
+        # Sorted list of the memstore dict's own key tuples, built by the
+        # first scan (so write-only regions never pay for it) and kept
+        # current through ``_pending``: keys first inserted since the
+        # last scan, merged in by the next one.
+        self._index: Optional[List[Key]] = None
+        self._pending: List[Key] = []
         self._store_files: List[StoreFile] = []
         self._tombstones: List[Tuple[bytes, bytes, float]] = []
         self.writes = 0
         self.flushes = 0
         self.compactions = 0
         self.deletes = 0
+        #: Cells read by scans from memstore and store-file slices
+        #: (before newest-wins dedup and tombstone masking), and cells
+        #: the scans returned.
+        self.cells_touched = 0
+        self.cells_returned = 0
 
     # ------------------------------------------------------------------
     # write path
@@ -173,20 +229,53 @@ class Region:
             self.writes += len(cells)
             return
         memstore = self._memstore
+        index = self._index
+        pending = self._pending if index is not None else None
         for cell in cells:
-            existing = memstore.get(cell.key)
-            if existing is None or cell.ts >= existing.ts:
-                memstore[cell.key] = cell
+            key = (cell.row, cell.qualifier)
+            existing = memstore.get(key)
+            if existing is None:
+                memstore[key] = cell
+                if pending is not None:
+                    pending.append(key)
+            elif cell.ts >= existing.ts:
+                memstore[key] = cell  # the dict keeps its original key tuple
         self.writes += len(cells)
+        if index is not None and len(self._pending) > len(index):
+            self._drop_index()  # cheaper to re-sort from scratch than merge
         if len(memstore) >= self.flush_threshold:
             self.flush()
 
+    def _drop_index(self) -> None:
+        self._index = None
+        self._pending = []
+
+    def _sorted_keys(self) -> List[Key]:
+        """The memstore's keys in order, building or catching up the index."""
+        index = self._index
+        if index is None:
+            index = self._index = sorted(self._memstore)
+        elif self._pending:
+            pending = self._pending
+            pending.sort()
+            index.extend(pending)
+            index.sort()  # Timsort merges the two sorted runs
+            pending.clear()
+        return index
+
     def flush(self) -> None:
-        """Freeze the memstore into a new store file."""
+        """Freeze the memstore into a new store file.
+
+        The store file adopts the sorted index and the dict's key
+        tuples as they are: no re-sort, no new key objects.
+        """
         if not self._memstore:
             return
-        self._store_files.append(StoreFile(list(self._memstore.values())))
+        keys = self._sorted_keys()
+        cells = list(map(self._memstore.__getitem__, keys))
+        self._store_files.append(StoreFile.from_sorted(keys, cells))
         self._memstore.clear()
+        self._drop_index()
         self.flushes += 1
 
     def discard_memstore(self) -> int:
@@ -198,6 +287,7 @@ class Region:
         """
         lost = len(self._memstore)
         self._memstore.clear()
+        self._drop_index()
         return lost
 
     # ------------------------------------------------------------------
@@ -236,19 +326,17 @@ class Region:
         """
         if len(self._store_files) <= 1 and not self._tombstones:
             return
-        merged: Dict[Tuple[bytes, bytes], Cell] = {}
-        for sf in self._store_files:  # oldest first; later files overwrite
-            for cell in sf.cells():
-                existing = merged.get(cell.key)
-                if existing is None or cell.ts >= existing.ts:
-                    merged[cell.key] = cell
+        keys, cells = _newest_wins([(sf._keys, sf._cells) for sf in self._store_files])
         if self._tombstones:
-            merged = {k: c for k, c in merged.items() if not self._masked(c)}
+            live = [i for i, c in enumerate(cells) if not self._masked(c)]
+            keys = [keys[i] for i in live]
+            cells = [cells[i] for i in live]
             self._memstore = {
                 k: c for k, c in self._memstore.items() if not self._masked(c)
             }
+            self._drop_index()
             self._tombstones.clear()
-        self._store_files = [StoreFile(list(merged.values()))] if merged else []
+        self._store_files = [StoreFile.from_sorted(keys, cells)] if cells else []
         self.compactions += 1
 
     # ------------------------------------------------------------------
@@ -268,29 +356,35 @@ class Region:
     def scan(self, start_row: bytes = b"", end_row: bytes = b"") -> List[Cell]:
         """Range scan, sorted by ``(row, qualifier)``, newest version wins.
 
-        Bounds are clamped to the region's own range.
+        Bounds are clamped to the region's own range.  Each store file
+        and the memstore index are bisected to the range, so a scan
+        reads only in-range cells; a range held by one source is
+        returned as that source's slice, otherwise the slices go
+        through one newest-wins merge.
         """
         lo = max(start_row, self.info.start_key)
         hi = end_row
         if self.info.end_key:
             hi = self.info.end_key if not hi else min(hi, self.info.end_key)
-        merged: Dict[Tuple[bytes, bytes], Cell] = {}
+        runs: List[Tuple[List[Key], List[Cell]]] = []
         for sf in self._store_files:
-            for cell in sf.scan(lo, hi):
-                existing = merged.get(cell.key)
-                if existing is None or cell.ts >= existing.ts:
-                    merged[cell.key] = cell
-        for key, cell in self._memstore.items():
-            row = key[0]
-            if row < lo or (hi and row >= hi):
-                continue
-            existing = merged.get(key)
-            if existing is None or cell.ts >= existing.ts:
-                merged[key] = cell
-        cells = merged.values()
+            i, j = _row_bounds(sf._keys, lo, hi)
+            if i < j:
+                runs.append((sf._keys[i:j], sf._cells[i:j]))
+        if self._memstore:
+            index = self._sorted_keys()
+            i, j = _row_bounds(index, lo, hi)
+            if i < j:
+                keys = index[i:j]
+                runs.append((keys, list(map(self._memstore.__getitem__, keys))))
+        if not runs:
+            return []
+        self.cells_touched += sum(len(keys) for keys, _ in runs)
+        cells = _newest_wins(runs)[1]
         if self._tombstones:
             cells = [c for c in cells if not self._masked(c)]
-        return sorted(cells, key=lambda c: c.key)
+        self.cells_returned += len(cells)
+        return cells
 
     # ------------------------------------------------------------------
     # split support

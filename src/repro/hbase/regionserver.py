@@ -393,8 +393,7 @@ class RegionServer:
             region = replica.region  # type: ignore[attr-defined]
             staleness = replica.staleness(self.sim.now)  # type: ignore[attr-defined]
             self.metrics.counter("regionserver.follower_reads").inc(label=self.name)
-        cells = region.scan(request.start_row, request.end_row)
-        cells.sort(key=lambda c: c.key)
+        cells = region.scan(request.start_row, request.end_row)  # already sorted
         reply = RpcReply.success(cells, self.name)
         reply.staleness = staleness
         return reply

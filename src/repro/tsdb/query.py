@@ -15,9 +15,12 @@ timing (which E1/E2/E6/E7 cover on the write path).
 
 from __future__ import annotations
 
+import bisect
 import struct
 from array import array
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -30,7 +33,7 @@ from ..hbase.master import HMaster, RegionUnavailableError
 from ..hbase.region import Cell
 from .aggregation import AGGREGATORS, Series, aggregate, downsample, rate
 from .blocks import TS_TYPECODE, VAL_TYPECODE, SeriesBlock
-from .compaction import decompact_cell, decompact_columns, is_compacted
+from .compaction import COMPACTED_MARKER, decompact_cell, decompact_columns, is_compacted
 from .rowkey import _UID_WIDTH, RowKeyCodec
 from .tsd import DATA_TABLE
 from .uid import UniqueIdRegistry, UnknownUidError
@@ -94,6 +97,8 @@ class _ScanState:
 
 #: Sentinel distinguishing "row not yet seen" from "row's series filtered".
 _ROW_UNSEEN = object()
+_CELL_ROW = attrgetter("row")
+_CELL_TS = attrgetter("ts")
 
 
 class _BlockScanState:
@@ -102,10 +107,11 @@ class _BlockScanState:
     The vectorized counterpart of :class:`_ScanState`: instead of one
     dict operation per cell, it appends to per-series parallel
     ``(timestamp, value, write_ts)`` columns and resolves newest-wins
-    duplicates once at the end with a single stable lexsort.  Row keys
-    are decoded at most once per distinct row (scans return cells
-    row-ordered, so one crc32/tag decode amortises over a whole row's
-    cells) and point-cell values are unpacked a row-run at a time.
+    duplicates once at the end with a single stable lexsort.  Scans
+    return cells row-ordered, so work happens a row-run at a time: one
+    row key decode and tag-filter check per run (runs of filtered
+    series are skipped untouched), and one ``struct`` call each for the
+    run's point offsets and values.
 
     Bit-identical to the per-cell reference path: the dict rule "newer
     or equal write-ts wins, later arrival breaks ties" is exactly "last
@@ -121,7 +127,6 @@ class _BlockScanState:
         "wts_cols",
         "tags",
         "filtered",
-        "blob_ts",
         "_row_cache",
     )
 
@@ -134,8 +139,6 @@ class _BlockScanState:
         self.wts_cols: Dict[bytes, array] = {}
         self.tags: Dict[bytes, Dict[str, str]] = {}
         self.filtered: set = set()
-        # (series_id, base_time) -> newest compacted-blob write-ts
-        self.blob_ts: Dict[Tuple[bytes, int], float] = {}
         # row bytes -> (series_id, base_time) | None when filtered out
         self._row_cache: Dict[bytes, object] = {}  # repro-lint: ignore[unbounded-cache] -- per-query scan state; dies with the query
 
@@ -143,14 +146,28 @@ class _BlockScanState:
     # ingest
     # ------------------------------------------------------------------
     def ingest_scan(self, cells: List[Cell], query: "TsdbQuery") -> None:
-        """Fold one scan range's cells into the columns (blobs first)."""
-        blobs = [c for c in cells if is_compacted(c)]
-        if blobs:
-            self._ingest_blobs(blobs, query)
-            points = [c for c in cells if not is_compacted(c)]
-        else:
-            points = cells
-        self._ingest_points(points, query)
+        """Fold one scan range's cells into the columns, a row-run at a time.
+
+        A row is one ``(series_id, base_hour)``.  Its compacted blobs
+        sort after its 2-byte point qualifiers (the ``0xF0`` marker), so
+        the blob/point split is read off the run's tail.  A blob only
+        shadows points of its own row, which makes folding blobs first
+        per row equal to folding them first per scan.
+        """
+        for row, group in groupby(cells, key=_CELL_ROW):
+            resolved = self._resolve_row(row, query)
+            if resolved is None:
+                continue
+            run = list(group)
+            split = len(run)
+            while split and run[split - 1].qualifier[:1] == COMPACTED_MARKER:
+                split -= 1
+            shadow = None
+            if split < len(run):
+                shadow = self._ingest_blobs(resolved, run[split:], query)
+                run = run[:split]
+            if run:
+                self._ingest_points(resolved, run, shadow, query)
 
     def _resolve_row(
         self, row: bytes, query: "TsdbQuery"
@@ -186,17 +203,14 @@ class _BlockScanState:
             self.wts_cols[sid] = array("d")
         return ts_col, self.val_cols[sid], self.wts_cols[sid]
 
-    def _ingest_blobs(self, blobs: List[Cell], query: "TsdbQuery") -> None:
+    def _ingest_blobs(
+        self, resolved: Tuple[bytes, int], blobs: List[Cell], query: "TsdbQuery"
+    ) -> float:
+        """Fold one row's compacted blobs; returns their newest write-ts."""
         start, end = query.start, query.end
+        sid, base = resolved
+        ts_col, val_col, wts_col = self._columns(sid)
         for cell in blobs:
-            resolved = self._resolve_row(cell.row, query)
-            if resolved is None:
-                continue
-            sid, base = resolved
-            key = (sid, base)
-            if cell.ts >= self.blob_ts.get(key, -1.0):
-                self.blob_ts[key] = cell.ts
-            ts_col, val_col, wts_col = self._columns(sid)
             wts = cell.ts
             offsets, values = decompact_columns(cell)
             for offset, value in zip(offsets, values):
@@ -205,34 +219,38 @@ class _BlockScanState:
                     ts_col.append(t)
                     val_col.append(value)
                     wts_col.append(wts)
+        return max(cell.ts for cell in blobs)
 
-    def _ingest_points(self, cells: List[Cell], query: "TsdbQuery") -> None:
-        start, end = query.start, query.end
-        i, n = 0, len(cells)
-        while i < n:
-            row = cells[i].row
-            j = i + 1
-            while j < n and cells[j].row == row:
-                j += 1
-            resolved = self._resolve_row(row, query)
-            if resolved is not None:
-                sid, base = resolved
-                shadow = self.blob_ts.get((sid, base), -1.0)
-                ts_col, val_col, wts_col = self._columns(sid)
-                run = cells[i:j]
-                # One struct call decodes the whole row-run's payloads.
-                values = struct.unpack(f">{len(run)}d", b"".join(c.value for c in run))
-                for cell, value in zip(run, values):
-                    # Point cells at or before a compacted blob's write
-                    # time were merged into the blob; skip them.
-                    if cell.ts <= shadow:
-                        continue
-                    t = base + int.from_bytes(cell.qualifier, "big")
-                    if start <= t < end:
-                        ts_col.append(t)
-                        val_col.append(value)
-                        wts_col.append(cell.ts)
-            i = j
+    def _ingest_points(
+        self,
+        resolved: Tuple[bytes, int],
+        run: List[Cell],
+        shadow: Optional[float],
+        query: "TsdbQuery",
+    ) -> None:
+        """Fold one row's point cells (sorted by offset)."""
+        sid, base = resolved
+        offsets = struct.unpack(f">{len(run)}H", b"".join(c.qualifier for c in run))
+        lo = bisect.bisect_left(offsets, query.start - base)
+        hi = bisect.bisect_left(offsets, query.end - base, lo)
+        if lo == hi:
+            return
+        run = run[lo:hi]
+        # One struct call decodes the in-range payloads.
+        values = struct.unpack(f">{len(run)}d", b"".join(c.value for c in run))
+        ts_col, val_col, wts_col = self._columns(sid)
+        if shadow is None:
+            ts_col.extend([base + o for o in offsets[lo:hi]])
+            val_col.extend(values)
+            wts_col.extend(map(_CELL_TS, run))
+            return
+        for cell, offset, value in zip(run, offsets[lo:hi], values):
+            # Point cells at or before a compacted blob's write time were
+            # merged into the blob; skip them.
+            if cell.ts > shadow:
+                ts_col.append(base + offset)
+                val_col.append(value)
+                wts_col.append(cell.ts)
 
     # ------------------------------------------------------------------
     # finalize

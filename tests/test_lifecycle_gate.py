@@ -18,6 +18,7 @@ from repro.bench.experiments import (
     E18_FLAT_FACTOR,
     E18_RAW_REDUCTION_FLOOR,
     E18_SUPERLINEAR_MARGIN,
+    E18_TOUCH_FACTOR,
 )
 
 REPO_ROOT = Path(__file__).parent.parent
@@ -40,6 +41,13 @@ class TestLifecycleGate:
 
     def test_tier_routing_cuts_scanned_cells(self, e18_quick):
         assert e18_quick.numbers["raw_reduction"] >= E18_RAW_REDUCTION_FLOOR
+
+    def test_raw_scans_touch_only_their_range(self, e18_quick):
+        # Region.cells_touched: cells read from memstore and store-file
+        # slices; an unbounded scan would read whole memstores.
+        numbers = e18_quick.numbers
+        assert numbers["short_touched_final"] >= numbers["short_cells_final"]
+        assert numbers["touch_ratio"] <= E18_TOUCH_FACTOR
 
     def test_gates_rest_on_a_real_soak(self, e18_quick):
         # a trivial run (nothing ingested, nothing routed) must not pass
@@ -83,6 +91,7 @@ class TestBenchJsonRecord:
         assert numbers["flat_ratio"] <= E18_FLAT_FACTOR
         assert numbers["raw_growth"] > E18_SUPERLINEAR_MARGIN * numbers["time_growth"]
         assert numbers["raw_reduction"] >= E18_RAW_REDUCTION_FLOOR
+        assert numbers["touch_ratio"] <= E18_TOUCH_FACTOR
         assert numbers["bitident_mismatches"] == 0
         assert numbers["conservation_ok"] == 1.0
         assert numbers["expired_raw"] > 0

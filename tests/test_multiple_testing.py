@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.multiple_testing import (
     PROCEDURES,
@@ -19,12 +19,16 @@ from repro.core.multiple_testing import (
 
 
 def reference_bh(p, q):
-    """Brute-force BH step-up."""
+    """Brute-force BH step-up.
+
+    The rung ``q·i/m`` is evaluated as ``q / (m / i)``, the order that
+    makes the last rung exactly ``q`` (``q * i / m`` can round below it).
+    """
     m = len(p)
     order = np.argsort(p)
     k = 0
     for i, idx in enumerate(order, 1):
-        if p[idx] <= q * i / m:
+        if p[idx] <= q / (m / i):
             k = i
     out = np.zeros(m, dtype=bool)
     out[order[:k]] = True
@@ -270,6 +274,9 @@ class TestProcedureProperties:
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30), st.floats(0.01, 0.3))
+    # Holm's last rung is exactly the level; q*k/m at k=m once rounded
+    # BH's below it, so BH kept a p-value Holm rejected.
+    @example(pvals=[0.0] * 5 + [0.060583215485972605], level=0.060583215485972605)
     def test_power_ordering(self, pvals, level):
         """bonferroni ⊆ holm ⊆ bh and by ⊆ bh (rejection-set nesting)."""
         p = np.array(pvals)

@@ -201,6 +201,60 @@ class TestStoreFile:
         assert [c.row for c in sf.scan(b"", b"b")] == [b"a"]
 
 
+class TestScanTouchesOnlyItsRange:
+    """A range scan reads only the in-range cells of each source."""
+
+    N_ROWS = 500
+
+    @staticmethod
+    def row(i):
+        return b"r%05d" % i
+
+    def loaded(self):
+        r = region(flush=10**6)
+        for first, last, ts in ((0, 10, 1.0), (5, 15, 2.0)):  # two store files
+            r.put_block(
+                [Cell(self.row(i), b"%03d" % q, b"f", ts)
+                 for i in range(self.N_ROWS) for q in range(first, last)]
+            )
+            r.flush()
+        r.put_block(
+            [Cell(self.row(i), b"%03d" % q, b"m", 3.0)
+             for i in range(self.N_ROWS) for q in range(100)]
+        )
+        assert r.memstore_size >= 50_000 and r.store_file_count == 2
+        return r
+
+    def test_one_row_scan_touches_at_most_that_row(self):
+        r = self.loaded()
+        row = self.row(250)
+        # 10 + 10 cells in the store files, 100 in the memstore.
+        for _ in range(2):  # index build, then index reuse
+            touched, returned = r.cells_touched, r.cells_returned
+            cells = r.scan(row, row + b"\x00")
+            assert [c.qualifier for c in cells] == [b"%03d" % q for q in range(100)]
+            assert all(c.value == b"m" for c in cells)
+            assert r.cells_touched - touched <= 120
+            assert r.cells_returned - returned == 100
+
+    def test_new_writes_are_merged_into_the_index(self):
+        r = self.loaded()
+        row = self.row(7)
+        r.scan(row, row + b"\x00")
+        r.put_block([Cell(row, b"\xf0", b"new", 4.0), Cell(self.row(8), b"000", b"x", 4.0)])
+        touched = r.cells_touched
+        cells = r.scan(row, row + b"\x00")
+        assert len(cells) == 101 and cells[-1].value == b"new"
+        assert r.cells_touched - touched <= 121
+
+    def test_full_scan_counts_every_source(self):
+        r = self.loaded()
+        cells = r.scan()
+        assert len(cells) == self.N_ROWS * 100
+        assert r.cells_touched == self.N_ROWS * (10 + 10 + 100)
+        assert r.cells_returned == len(cells)
+
+
 class TestRegionProperties:
     @settings(max_examples=50, deadline=None)
     @given(

@@ -6,8 +6,9 @@ from repro.cluster.failures import OverflowCrashPolicy
 from repro.cluster.network import LatencyModel, Network
 from repro.cluster.node import Node
 from repro.cluster.simulation import Simulator
-from repro.hbase.master import HMaster, TableNotFoundError
+from repro.hbase.master import HMaster, RegionUnavailableError, TableNotFoundError
 from repro.hbase.region import Cell
+from repro.hbase.replication import ReplicationCoordinator
 from repro.hbase.regionserver import (
     GetRequest,
     PutRequest,
@@ -368,3 +369,99 @@ class TestAutoSplit:
         master.enable_auto_split(10)
         master.disable_auto_split()
         assert master.run_auto_split_pass() == 0
+
+
+class TestRangeFanOut:
+    """The bisected region fan-out of the master's range operations.
+
+    Layout after one split: ``["", c)``, ``[c, f)``, ``[f, m)``,
+    ``[m, "")``, with one follower per region and a detection delay, so
+    a crashed primary stays assigned while timeline reads fail over.
+    """
+
+    ROWS = [b"a", b"b", b"c", b"d", b"e", b"f", b"g", b"m", b"n", b"z"]
+    # (start, end) -> start keys of the regions the range overlaps
+    RANGES = {
+        (b"", b"d"): [b"", b"c"],  # start=b"" (unbounded)
+        (b"g", b""): [b"f", b"m"],  # end=b"" (unbounded)
+        (b"a", b"f"): [b"", b"c"],  # end == a region start key (exclusive)
+        (b"d", b"e"): [b"c"],  # inside one region
+        (b"", b""): [b"", b"c", b"f", b"m"],
+    }
+
+    def build(self):
+        sim = Simulator()
+        net = Network(sim, LatencyModel(base=0.0001, jitter=0.0))
+        master = HMaster(sim=sim, failure_detection_delay=5.0)
+        for i in range(3):
+            master.register_server(RegionServer(sim, net, Node(sim, f"host{i}"), f"rs{i}"))
+        master.create_table("t", [b"c", b"m"])
+        info, _ = master.locate("t", b"d")
+        master.split_region("t", info.name, b"f")
+        for row in self.ROWS:
+            info, server = master.locate("t", row)
+            region = next(
+                r for r in master.server(server).hosted_regions() if r.info == info
+            )
+            region.put(Cell(row, b"q", row, 1.0))
+        # Followers bootstrap from the primaries' current contents.
+        master.enable_replication(ReplicationCoordinator(sim, net, master, n_followers=1))
+        return sim, master
+
+    def test_locate_range_edges(self):
+        _, master = self.build()
+        for (start, end), starts in self.RANGES.items():
+            got = [info.start_key for info, _ in master.locate_range("t", start, end)]
+            assert got == starts, (start, end)
+
+    def test_direct_scan_edges(self):
+        _, master = self.build()
+        for start, end in self.RANGES:
+            want = [r for r in self.ROWS if r >= start and (not end or r < end)]
+            assert [c.row for c in master.direct_scan("t", start, end)] == want
+
+    def test_direct_delete_range_tombstones_only_overlapping_regions(self):
+        for (start, end), starts in self.RANGES.items():
+            _, master = self.build()
+            masked = master.direct_delete_range("t", start, end, ts=1.0)
+            assert masked == sum(1 for r in self.ROWS if r >= start and (not end or r < end))
+            for a in master._tables["t"]:
+                want = 1 if a.region.info.start_key in starts else 0
+                assert a.region.tombstone_count == want, (start, end, a.region.info)
+                follower, _ = master.replication.best_follower(a.region.info.name)
+                assert follower.tombstone_count == want
+            survivors = [c.row for c in master.direct_scan("t")]
+            assert survivors == [
+                r for r in self.ROWS if not (r >= start and (not end or r < end))
+            ]
+
+    def test_timeline_scan_substitutes_exactly_the_crashed_overlapping_regions(self):
+        sim, master = self.build()
+        victim = dict(master.table_regions("t"))
+        crashed = next(s for i, s in victim.items() if i.start_key == b"c")
+        master.server(crashed).crash()
+        asked = []
+        best_follower = master.replication.best_follower
+
+        def spy(region_name):
+            asked.append(region_name)
+            return best_follower(region_name)
+
+        master.replication.best_follower = spy
+        for (start, end), starts in self.RANGES.items():
+            asked.clear()
+            down = [
+                info.name
+                for info, server in master.table_regions("t")
+                if info.start_key in starts and server == crashed
+            ]
+            cells, staleness = master.direct_scan_consistent("t", start, end, timeline=True)
+            want = [r for r in self.ROWS if r >= start and (not end or r < end)]
+            assert [c.row for c in cells] == want, (start, end)
+            assert asked == down, (start, end)
+            assert staleness >= 0.0
+            if down:
+                with pytest.raises(RegionUnavailableError):
+                    master.direct_scan_consistent("t", start, end)
+            else:
+                assert master.direct_scan_consistent("t", start, end) == (cells, 0.0)
