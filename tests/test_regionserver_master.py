@@ -8,7 +8,6 @@ from repro.cluster.node import Node
 from repro.cluster.simulation import Simulator
 from repro.hbase.master import HMaster, RegionUnavailableError, TableNotFoundError
 from repro.hbase.region import Cell
-from repro.hbase.replication import ReplicationCoordinator
 from repro.hbase.regionserver import (
     GetRequest,
     PutRequest,
@@ -16,6 +15,7 @@ from repro.hbase.regionserver import (
     ScanRequest,
     ServiceModel,
 )
+from repro.hbase.replication import ReplicationCoordinator
 
 
 def build(n_servers=3, queue_capacity=64, crash_budget=None):
